@@ -81,7 +81,7 @@ void Rank::bcast(void* buf, std::uint64_t bytes, int root) {
   // forwarding scheme below can't chunk — it ships one opaque stream — and
   // for pipeline-sized messages the per-hop overlap wins over forwarding.
   const WorldOptions& opt = world_.options();
-  if (opt.pipeline.enabled && opt.pipeline.collectives && bytes >= opt.pipeline.min_bytes) {
+  if (opt.pipeline.enabled && bytes >= opt.pipeline.min_bytes) {
     int pmask = 1;
     if (vrank != 0) {
       while (pmask < P) {
@@ -189,8 +189,7 @@ void Rank::allgather(const void* sendbuf, std::uint64_t block_bytes, void* recvb
   // point-to-point hops so each ring step overlaps chunk compression,
   // transfer, and decompression (see bcast above for the rationale).
   const WorldOptions& opt = world_.options();
-  if (opt.pipeline.enabled && opt.pipeline.collectives &&
-      block_bytes >= opt.pipeline.min_bytes) {
+  if (opt.pipeline.enabled && block_bytes >= opt.pipeline.min_bytes) {
     for (int step = 0; step < P - 1; ++step) {
       const int send_idx = (rank_ - step + P) % P;
       const int recv_idx = (rank_ - step - 1 + P) % P;

@@ -6,7 +6,10 @@
 // hangs, no silent corruption, bounded retries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/telemetry.hpp"
@@ -335,7 +338,7 @@ TEST(Chaos, HierarchicalBcastUnderLossIsBitExactWithTransitBudget) {
   EXPECT_GT(telemetry.summarize().retransmits, 0u);
 }
 
-TEST(Chaos, RetryLimitCompletesWithCleanErrorStatus) {
+TEST(Chaos, BlackHoleLinkStopsAtTheRetryBudget) {
   // A black-hole link (100% drop) must not hang: after max_data_retries
   // re-pushes both sides complete with StatusError::RetryLimit.
   fault::FaultInjector injector(fault::FaultPlan::lossy(5, 1.0, 0.0));
@@ -362,12 +365,117 @@ TEST(Chaos, RetryLimitCompletesWithCleanErrorStatus) {
 
   EXPECT_EQ(send_status.error, StatusError::RetryLimit);
   EXPECT_EQ(recv_status.error, StatusError::RetryLimit);
-  EXPECT_FALSE(send_status.ok());
   EXPECT_EQ(recv_status.bytes, 0u);
   // 1 initial push + max_data_retries re-pushes, not one more.
   EXPECT_EQ(injector.stats().drops, 5u);
   EXPECT_EQ(telemetry.summarize().retransmits, 4u);
 }
+
+/// The rendezvous data-phase modes the segment transfer serves.
+enum class Transfer { Serial, Pipelined, WarmP2p, WarmWire };
+
+class RetryLimit : public ::testing::TestWithParam<Transfer> {};
+
+TEST_P(RetryLimit, CompletesWithCleanErrorStatus) {
+  // A 60%-drop link with a one-retry budget: some messages exhaust their
+  // retries. Each such message fails on BOTH sides with RetryLimit; every
+  // other message lands intact and in order, and nothing hangs. On a warm
+  // channel the failed message keeps its sequence slot, so its receive
+  // fails with it instead of taking the next message's bytes.
+  const Transfer mode = GetParam();
+  const bool warm = mode == Transfer::WarmP2p || mode == Transfer::WarmWire;
+  fault::FaultInjector injector(fault::FaultPlan::lossy(7, 0.6, 0.0));
+  sim::Engine engine;
+  core::Telemetry telemetry;
+  mpi::WorldOptions opts;
+  opts.fault = &injector;
+  opts.telemetry = &telemetry;
+  opts.max_data_retries = 1;
+  opts.persistent.enabled = warm;
+  opts.pipeline.enabled = mode == Transfer::Pipelined;
+  opts.pipeline.min_bytes = 128 * 1024;
+  opts.pipeline.chunk_bytes = 64 * 1024;
+  World world(engine, net::longhorn(2, 1),
+              mode == Transfer::Pipelined ? core::CompressionConfig::mpc_opt()
+                                          : core::CompressionConfig::off(),
+              opts);
+
+  constexpr int kMessages = 12;
+  const std::size_t n = 65536;  // 256 KiB: rendezvous
+  std::vector<mpi::Status> sent(kMessages), got(kMessages);
+  std::vector<bool> intact(kMessages, false);
+  world.run([&](Rank& R) {
+    if (R.rank() == 0) {
+      // Message i is filled with the value i, so a receive that took
+      // another message's bytes shows. Each send completes before the
+      // next, so the channel modes warm up after their first delivery.
+      auto* buf = static_cast<float*>(mode == Transfer::Pipelined ? R.gpu_malloc(n * 4)
+                                                                    : std::malloc(n * 4));
+      for (int i = 0; i < kMessages; ++i) {
+        std::fill(buf, buf + n, static_cast<float>(i));
+        auto req = mode == Transfer::WarmWire ? R.isend_wire(R.make_wire(buf, n * 4), 1, 3)
+                                              : R.isend(buf, n * 4, 1, 3);
+        sent[i] = R.wait(req);
+      }
+      if (mode == Transfer::Pipelined) {
+        R.gpu_free(buf);
+      } else {
+        std::free(buf);
+      }
+    } else {
+      std::vector<float> out(n);
+      for (int i = 0; i < kMessages; ++i) {
+        std::fill(out.begin(), out.end(), -1.0f);
+        if (mode == Transfer::WarmWire) {
+          mpi::WireMessage wire;
+          auto req = R.irecv_wire(&wire, 0, 3);
+          got[i] = R.wait(req);
+          if (got[i].ok()) R.decompress_wire(wire, out.data(), n * 4);
+        } else {
+          got[i] = R.recv(out.data(), n * 4, 0, 3);
+        }
+        intact[i] = std::all_of(out.begin(), out.end(),
+                                [i](float v) { return v == static_cast<float>(i); });
+      }
+    }
+  });
+
+  int failed = 0;
+  int recovered = 0;  // clean deliveries after the first failure
+  for (int i = 0; i < kMessages; ++i) {
+    SCOPED_TRACE("message " + std::to_string(i));
+    EXPECT_EQ(sent[i].error, got[i].error);
+    if (got[i].ok()) {
+      EXPECT_TRUE(intact[i]);
+      EXPECT_EQ(got[i].bytes, n * 4);
+      if (failed > 0) ++recovered;
+    } else {
+      EXPECT_EQ(got[i].error, StatusError::RetryLimit);
+      EXPECT_EQ(got[i].bytes, 0u);
+      ++failed;
+    }
+  }
+  EXPECT_GT(failed, 0);
+  EXPECT_GT(recovered, 0);
+  if (warm) {
+    std::uint64_t warm_sends = 0;
+    for (const auto& [key, ch] : world.channels()) warm_sends += ch.warm_sends;
+    EXPECT_GT(warm_sends, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, RetryLimit,
+                         ::testing::Values(Transfer::Serial, Transfer::Pipelined,
+                                           Transfer::WarmP2p, Transfer::WarmWire),
+                         [](const ::testing::TestParamInfo<Transfer>& info) {
+                           switch (info.param) {
+                             case Transfer::Serial: return "Serial";
+                             case Transfer::Pipelined: return "Pipelined";
+                             case Transfer::WarmP2p: return "WarmP2p";
+                             case Transfer::WarmWire: return "WarmWire";
+                           }
+                           return "Unknown";
+                         });
 
 TEST(Chaos, CompressionKernelFaultsDegradeToRaw) {
   // Every compression kernel launch fails: all rendezvous messages fall

@@ -3,6 +3,7 @@
 // requests, device-buffer sends with and without compression.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -187,20 +188,48 @@ TEST(MiniMpi, TruncationIsAnError) {
 }
 
 TEST(MiniMpi, RendezvousTruncationStillThrows) {
-  sim::Engine engine;
-  World world(engine, net::longhorn(2, 1), no_compression());
   // A rendezvous transfer cannot be abandoned mid-protocol, so a too-small
-  // receive on the large-message path remains a hard error.
-  EXPECT_THROW(world.run([&](Rank& R) {
-    if (R.rank() == 0) {
-      std::vector<float> in(1 << 16, 1.0f);
-      R.send(in.data(), sizeof(float) << 16, 1, 1);
-    } else {
-      std::vector<float> out(16);
-      R.recv(out.data(), 64, 0, 1);  // too small
+  // receive on the large-message path remains a hard error in every
+  // data-phase mode: serial (raw and compressed), pipelined, and warm.
+  enum class Mode { SerialRaw, SerialCompressed, Pipelined, Warm };
+  for (const Mode mode : {Mode::SerialRaw, Mode::SerialCompressed, Mode::Pipelined,
+                          Mode::Warm}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    sim::Engine engine;
+    mpi::WorldOptions opts;
+    opts.pipeline.enabled = mode == Mode::Pipelined;
+    opts.pipeline.min_bytes = 128 * 1024;
+    opts.persistent.enabled = mode == Mode::Warm;
+    World world(engine, net::longhorn(2, 1),
+                mode == Mode::SerialRaw || mode == Mode::Warm
+                    ? no_compression()
+                    : core::CompressionConfig::mpc_opt(),
+                opts);
+    const std::size_t n = 1 << 16;  // 256 KiB
+    EXPECT_THROW(world.run([&](Rank& R) {
+      if (R.rank() == 0) {
+        auto* in = static_cast<float*>(R.gpu_malloc(n * 4));
+        std::fill(in, in + n, 1.0f);
+        // Warm: the first exchange warms the channel; once its credit
+        // grant has arrived, the second message rides it.
+        if (mode == Mode::Warm) {
+          R.send(in, n * 4, 1, 1);
+          R.compute(Time::us(50));
+        }
+        R.send(in, n * 4, 1, 1);
+        R.gpu_free(in);
+      } else {
+        std::vector<float> out(n);
+        if (mode == Mode::Warm) R.recv(out.data(), n * 4, 0, 1);
+        R.recv(out.data(), 64, 0, 1);  // too small
+      }
+    }),
+                 std::runtime_error);
+    if (mode == Mode::Warm) {
+      ASSERT_EQ(world.channels().size(), 1u);
+      EXPECT_EQ(world.channels().begin()->second.warm_sends, 1u);
     }
-  }),
-               std::runtime_error);
+  }
 }
 
 TEST(MiniMpi, DeviceBufferRendezvousWithMpcCompression) {
