@@ -1,6 +1,7 @@
 #include "compress/mpc.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -72,8 +73,8 @@ std::size_t compress_chunk(const std::uint32_t* bits, std::size_t n, int dim,
       out[out_words++] = 0;
       continue;
     }
-    // Stage 3: 32x32 bit transpose (log-depth block swap, in place).
-    bit_transpose32(tile);
+    // Stage 3: 32x32 bit transpose (SSE2 byte regroup + movemask, in place).
+    bit_transpose32_fast(tile);
     // Stage 4: zero elimination behind a presence mask. Both loops are
     // branchless: the mask accumulates comparison results, and the scatter
     // always stores but only advances past kept words (the dead store is
@@ -91,6 +92,9 @@ std::size_t compress_chunk(const std::uint32_t* bits, std::size_t n, int dim,
   return out_words;
 }
 
+/// Decode one chunk of `n` values from `in_words` u32 words. `in` must be
+/// readable one word past `in_words`: the zero-word expansion reads
+/// in[pos] unconditionally and masks it away for elided words.
 void decompress_chunk(const std::uint32_t* in, std::size_t in_words, std::size_t n,
                       int dim, std::uint32_t* bits) {
   const auto d = static_cast<std::size_t>(dim);
@@ -108,10 +112,18 @@ void decompress_chunk(const std::uint32_t* in, std::size_t in_words, std::size_t
       }
       continue;
     }
-    for (int b = 0; b < 32; ++b) {
-      tile[b] = (mask >> b) & 1u ? in[pos++] : 0u;
+    // Bound the whole tile once, then expand branchlessly: a kept word is
+    // in[pos] and advances pos; an elided word reads in[pos] (at most
+    // in[in_words], the guard word) and masks it to zero.
+    if (static_cast<std::size_t>(std::popcount(mask)) > in_words - pos) {
+      throw std::runtime_error("MPC: truncated chunk");
     }
-    bit_transpose32(tile);  // involution: same transpose inverts
+    for (int b = 0; b < 32; ++b) {
+      const std::uint32_t bit = (mask >> b) & 1u;
+      tile[b] = in[pos] & (0u - bit);
+      pos += bit;
+    }
+    bit_transpose32_fast(tile);  // involution: same transpose inverts
     if (base >= d && base + 32 <= n) {
       for (std::size_t j = 0; j < 32; ++j) {
         const std::size_t i = base + j;
@@ -196,7 +208,7 @@ std::size_t MpcCodec::decompress(std::span<const std::uint8_t> in, std::span<flo
   if (dim < 1 || dim > 32 || chunk == 0 || chunk % 32 != 0) {
     throw std::invalid_argument("MpcCodec: corrupt header");
   }
-  if (n != 0 && chunks != (n + chunk - 1) / chunk) {
+  if (chunks != (n + chunk - 1) / chunk) {
     throw std::invalid_argument("MpcCodec: inconsistent chunk count");
   }
   if (out.size() < n) throw std::invalid_argument("MpcCodec::decompress: output too small");
@@ -208,12 +220,19 @@ std::size_t MpcCodec::decompress(std::span<const std::uint8_t> in, std::span<flo
   const std::uint8_t* payload = size_table + chunks * 4;
   const std::size_t payload_offset = (kFixedHeaderWords + chunks) * 4;
 
-  std::vector<std::uint32_t> scratch(chunk + chunk / 32 + 1);
-  std::vector<std::uint32_t> out_bits(chunk);
+  // Buffers are sized by the largest chunk the output can hold, not by the
+  // header's chunk_values, so a corrupt header cannot demand a huge
+  // allocation. A chunk of `span` values is at most one mask plus 32 words
+  // per tile; scratch keeps one guard word past that for the branchless
+  // zero-word expansion.
+  const std::size_t span = std::min(chunk, n);
+  const std::size_t max_words = (span + 31) / 32 * 33;
+  std::vector<std::uint32_t> scratch(max_words + 1);
+  std::vector<std::uint32_t> out_bits(span);
   std::size_t offset_words = 0;
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t words = load_u32(size_table + c * 4);
-    if (words > scratch.size()) throw std::runtime_error("MpcCodec: corrupt chunk size");
+    if (words > max_words) throw std::runtime_error("MpcCodec: corrupt chunk size");
     const std::size_t begin = c * chunk;
     const std::size_t count = std::min(chunk, n - begin);
     if (payload_offset + (offset_words + words) * 4 > in.size()) {

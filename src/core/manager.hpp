@@ -299,6 +299,8 @@ class CompressionManager {
   /// Every staging buffer acquisition (pool or naive), including plan-slot
   /// growth. Warm iterations on cached plans must not move this counter.
   [[nodiscard]] std::uint64_t staging_acquisitions() const { return staging_acquisitions_; }
+  /// The compressed-data buffer pool (read-only; null when the pool is off).
+  [[nodiscard]] const gpu::BufferPool* pool() const { return pool_ ? &*pool_ : nullptr; }
 
   [[nodiscard]] const CompressionStats& stats() const { return stats_; }
   [[nodiscard]] Breakdown& sender_breakdown() { return sender_bd_; }

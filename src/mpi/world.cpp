@@ -910,10 +910,15 @@ void World::launch_chunk(const TxPtr& tx) {
 
 void World::chunk_ready(const TxPtr& tx, std::size_t i,
                         const std::shared_ptr<core::CompressionManager::ChunkWire>& ck) {
-  if (tx->done) return;
   auto& state = ranks_[static_cast<std::size_t>(tx->env.src)];
-  Segment& seg = tx->segs[i];
   Timeline tl(std::max(engine_.now(), tx->send_cursor));
+  if (tx->done) {
+    // The transfer failed while this chunk was compressing: nothing will
+    // push it, but its staging lease still goes back to the pool.
+    state.mgr->release_send(tl, ck->wire);
+    return;
+  }
+  Segment& seg = tx->segs[i];
   state.mgr->finish_chunk(tl, *ck, static_cast<const std::uint8_t*>(tx->sender_buf) + seg.offset,
                           seg.len);
   WireMessage wire = stage_wire(ck->wire.header, ck->wire.data, ck->wire.bytes);

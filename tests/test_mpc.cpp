@@ -2,6 +2,8 @@
 // dimensionality behaviour, chunking, corruption handling, tuning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "compress/mpc.hpp"
 #include "data/datasets.hpp"
 #include "sim/rng.hpp"
+#include "support/payloads.hpp"
 
 namespace {
 
@@ -146,6 +149,106 @@ TEST(Mpc, CorruptInputsThrow) {
   EXPECT_THROW((void)codec.decompress({buf.data(), size}, tiny), std::invalid_argument);
 }
 
+// Word-level view of an MPC stream: its size-table words, and which payload
+// words are tile masks and which are kept bit planes.
+struct MpcStreamMap {
+  std::vector<std::size_t> size_words;
+  std::vector<std::size_t> mask_words;
+  std::vector<std::size_t> plane_words;
+};
+
+std::uint32_t word_at(const std::vector<std::uint8_t>& s, std::size_t w) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, s.data() + w * 4, 4);
+  return v;
+}
+
+void set_word(std::vector<std::uint8_t>& s, std::size_t w, std::uint32_t v) {
+  std::memcpy(s.data() + w * 4, &v, 4);
+}
+
+MpcStreamMap map_stream(const std::vector<std::uint8_t>& s, std::size_t n, std::size_t chunk) {
+  MpcStreamMap m;
+  const std::size_t chunks = word_at(s, 4);
+  std::size_t w = 5 + chunks;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    m.size_words.push_back(5 + c);
+    const std::size_t count = std::min(chunk, n - c * chunk);
+    for (std::size_t t = 0; t < (count + 31) / 32; ++t) {
+      const std::uint32_t mask = word_at(s, w);
+      m.mask_words.push_back(w++);
+      for (int b = 0; b < std::popcount(mask); ++b) m.plane_words.push_back(w++);
+    }
+  }
+  EXPECT_EQ(w * 4, s.size());
+  return m;
+}
+
+TEST(Mpc, MutatedStreamsThrowOrDecodeInBounds) {
+  // Seeded mutations of valid streams: flipped tile masks, flipped bit
+  // planes, and size-table entries flipped or set to the edges of the
+  // per-chunk bound. Every decode must throw or restore exactly n values;
+  // under ASan no decode may read or write outside its buffers.
+  constexpr std::size_t kValues = 2500;  // partial last chunk and tail tile
+  gcmpi::sim::Rng rng(gcmpi::testing::test_seed() ^ 0x6d7574u);
+  std::size_t decodes = 0;
+  std::size_t thrown = 0;
+  for (const auto& info : gcmpi::data::table3_datasets()) {
+    const auto in = gcmpi::data::generate(info.name, kValues, 7);
+    for (const int dim : {1, info.mpc_dimensionality, 5}) {
+      for (const std::size_t chunk : {std::size_t{96}, std::size_t{1024}}) {
+        const MpcCodec codec(dim, chunk);
+        std::vector<std::uint8_t> valid(codec.max_compressed_bytes(kValues));
+        valid.resize(codec.compress(in, valid));
+        const MpcStreamMap map = map_stream(valid, kValues, chunk);
+        const auto tile_bound =
+            static_cast<std::uint32_t>((std::min(chunk, kValues) + 31) / 32 * 33);
+        for (int trial = 0; trial < 90; ++trial) {
+          std::vector<std::uint8_t> bad = valid;
+          const int kind = trial % 3;
+          const auto& words = kind == 0   ? map.mask_words
+                              : kind == 1 ? map.plane_words
+                                          : map.size_words;
+          if (words.empty()) continue;
+          const std::size_t w = words[rng.next_u64() % words.size()];
+          const std::uint32_t old = word_at(bad, w);
+          std::uint32_t v = old ^ (1u << (rng.next_u32() % 32));
+          if (kind == 2 && trial % 2 == 0) {
+            // Size-table entries at and around the bound the decoder checks.
+            const std::uint32_t edges[] = {0u, tile_bound - 1, tile_bound, tile_bound + 1,
+                                           old + 1, old - 1};
+            v = edges[rng.next_u32() % 6];
+          }
+          set_word(bad, w, v);
+          std::vector<float> out(kValues);
+          ++decodes;
+          try {
+            EXPECT_EQ(codec.decompress(bad, out), kValues) << info.name << " dim=" << dim;
+          } catch (const std::exception&) {
+            ++thrown;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(decodes, 1000u);
+  EXPECT_GT(thrown, decodes / 4);  // the mutations do reach the checks
+}
+
+TEST(Mpc, HeaderWithNoValuesButChunksIsRejected) {
+  // n = 0 with a non-empty size table used to skip the chunk-count check,
+  // and the second chunk then decoded past the (empty) output.
+  MpcCodec codec(1);
+  const auto in = gcmpi::data::smooth_field(2048, 1e-3, 3);
+  std::vector<std::uint8_t> buf(codec.max_compressed_bytes(in.size()));
+  buf.resize(codec.compress(in, buf));
+  set_word(buf, 6, word_at(buf, 5));  // chunk 1 re-reads chunk 0's words
+  set_word(buf, 5, 0);
+  set_word(buf, 1, 0);  // n = 0
+  std::vector<float> out;
+  EXPECT_THROW((void)codec.decompress(buf, out), std::invalid_argument);
+}
+
 TEST(Mpc, OutputBufferTooSmallThrows) {
   MpcCodec codec(1);
   std::vector<float> in(1024, 1.0f);
@@ -174,29 +277,59 @@ TEST(Mpc, PartitionedStreamsConcatenateLosslessly) {
   EXPECT_NEAR(overhead, 1.0, 0.01);  // "negligible impact on the ratio"
 }
 
-TEST(Mpc, BitTranspose32MatchesNaiveAndInverts) {
+// Reference transpose straight from the definition M'[r][c] = M[c][r].
+std::vector<std::uint32_t> naive_transpose32(const std::uint32_t* tile) {
+  std::vector<std::uint32_t> naive(32, 0u);
+  for (int r = 0; r < 32; ++r) {
+    for (int c = 0; c < 32; ++c) {
+      naive[static_cast<std::size_t>(r)] |= ((tile[c] >> r) & 1u) << c;
+    }
+  }
+  return naive;
+}
+
+// Random tiles plus the structured ones a byte-regrouping kernel is most
+// likely to get wrong: all bits, no bits, one bit per row (a rotating
+// column), the diagonal, and only the top bit plane.
+std::vector<std::vector<std::uint32_t>> transpose32_tiles() {
+  std::vector<std::vector<std::uint32_t>> tiles;
+  tiles.emplace_back(32, 0xFFFFFFFFu);
+  tiles.emplace_back(32, 0u);
+  tiles.emplace_back(32, 0x80000000u);
+  std::vector<std::uint32_t> diagonal(32), anti(32), one_per_row(32);
+  for (std::uint32_t r = 0; r < 32; ++r) {
+    diagonal[r] = 1u << r;
+    anti[r] = 1u << (31 - r);
+    one_per_row[r] = 1u << ((r * 7 + 3) % 32);
+  }
+  tiles.push_back(diagonal);
+  tiles.push_back(anti);
+  tiles.push_back(one_per_row);
   gcmpi::sim::Rng rng(101);
   for (int trial = 0; trial < 64; ++trial) {
-    std::uint32_t tile[32];
+    std::vector<std::uint32_t> tile(32);
     for (auto& w : tile) w = rng.next_u32();
-
-    // Reference transpose straight from the definition M'[r][c] = M[c][r].
-    std::uint32_t naive[32] = {};
-    for (int r = 0; r < 32; ++r) {
-      for (int c = 0; c < 32; ++c) {
-        naive[r] |= ((tile[c] >> r) & 1u) << c;
-      }
-    }
-
-    std::uint32_t fast[32];
-    std::memcpy(fast, tile, sizeof(tile));
-    gcmpi::comp::bit_transpose32(fast);
-    EXPECT_EQ(std::memcmp(fast, naive, sizeof(naive)), 0);
-
-    // Involution: forward o forward == identity.
-    gcmpi::comp::bit_transpose32(fast);
-    EXPECT_EQ(std::memcmp(fast, tile, sizeof(tile)), 0);
+    tiles.push_back(tile);
   }
+  return tiles;
+}
+
+void expect_transpose32(void (*transpose)(std::uint32_t*), const char* kernel) {
+  for (const auto& tile : transpose32_tiles()) {
+    std::vector<std::uint32_t> t = tile;
+    transpose(t.data());
+    EXPECT_EQ(t, naive_transpose32(tile.data())) << kernel;
+    // Involution: forward o forward == identity.
+    transpose(t.data());
+    EXPECT_EQ(t, tile) << kernel;
+  }
+}
+
+TEST(Mpc, BitTranspose32MatchesNaiveAndInverts) {
+  expect_transpose32(gcmpi::comp::bit_transpose32, "portable");
+#if defined(__SSE2__)
+  expect_transpose32(gcmpi::comp::bit_transpose32_sse2, "sse2");
+#endif
 }
 
 TEST(Mpc, BitTranspose64MatchesNaiveAndInverts) {

@@ -29,6 +29,8 @@ struct TransferResult {
   core::CompressionStats sender_stats;
   core::Telemetry telemetry;
   mpi::Status recv_status;
+  std::size_t sender_pool_free = 0;  // compressed-data pool after the run
+  std::size_t sender_pool_total = 0;
 };
 
 /// One rank0 -> rank1 send of `payload` (staged in device memory) under the
@@ -61,6 +63,10 @@ TransferResult run_transfer(const std::vector<float>& payload,
   });
   res.sender_stats = world.compression_of(0).stats();
   res.telemetry = telemetry;
+  if (const auto* pool = world.compression_of(0).pool()) {
+    res.sender_pool_free = pool->free_buffers();
+    res.sender_pool_total = pool->total_buffers();
+  }
   return res;
 }
 
@@ -252,6 +258,23 @@ TEST(Pipeline, DecompressFaultDegradesOnlyTheFaultingChunkToRaw) {
     EXPECT_LT(rec.wire_bytes, rec.original_bytes + (512ull << 10) * summary.retransmits);
   }
   EXPECT_TRUE(fired) << "no seed in the scan list injected a decompress fault";
+}
+
+TEST(Pipeline, FailedTransferReturnsEveryChunkLeaseToThePool) {
+  // Every chunk is corrupted and none may be resent, so the transfer fails
+  // while the rest of its launch window is still compressing. Those chunks
+  // must still give their pooled staging back.
+  fault::FaultPlan plan;
+  plan.seed = 1;
+  plan.corrupt_probability = 1.0;
+  fault::FaultInjector injector(plan);
+  mpi::WorldOptions opts = pipelined_opts(64ull << 10);
+  opts.max_data_retries = 0;
+  const auto payload = make_floats(PayloadKind::SmoothField, kBigValues, 52);
+  const auto piped = run_transfer(payload, core::CompressionConfig::mpc_opt(), opts, &injector);
+  EXPECT_EQ(piped.recv_status.error, mpi::StatusError::RetryLimit);
+  ASSERT_GT(piped.sender_pool_total, 0u);
+  EXPECT_EQ(piped.sender_pool_free, piped.sender_pool_total);
 }
 
 }  // namespace

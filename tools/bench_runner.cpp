@@ -15,7 +15,8 @@
 // --quick      smaller sweep (one size, two datasets) for CI
 // --out        where to write the JSON (default: BENCH_codecs.json in cwd)
 // --baseline   compare against a previous BENCH_codecs.json; exit 1 if any
-//              matching entry regressed by more than --threshold
+//              entry regressed by more than --threshold or has no
+//              baseline row of the same name
 // --threshold  allowed fractional regression vs. baseline (default 0.25)
 #include <algorithm>
 #include <chrono>
@@ -291,7 +292,12 @@ int compare_baseline(const Options& opt, const std::vector<Result>& results) {
   for (const Result& r : results) {
     const auto it = std::find_if(base.begin(), base.end(),
                                  [&](const auto& b) { return b.first == r.name; });
-    if (it == base.end()) continue;
+    if (it == base.end()) {
+      // A renamed or new row has nothing to be gated against: that is a
+      // gate failure, not a pass.
+      std::printf("UNMATCHED  %-44s (no baseline row)\n", r.name.c_str());
+      continue;
+    }
     ++matched;
     const double floor = it->second * (1.0 - opt.threshold);
     const double delta = (r.mbps / it->second - 1.0) * 100.0;
@@ -306,7 +312,7 @@ int compare_baseline(const Options& opt, const std::vector<Result>& results) {
   }
   std::printf("baseline: %zu/%zu entries matched, %d regression(s) beyond %.0f%%\n", matched,
               results.size(), regressions, opt.threshold * 100.0);
-  return regressions == 0 ? 0 : 1;
+  return regressions == 0 && matched == results.size() ? 0 : 1;
 }
 
 }  // namespace
