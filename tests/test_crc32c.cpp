@@ -4,6 +4,7 @@
 // and the bit conventions (reflected in/out, init and final XOR ~0).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -17,10 +18,19 @@
 namespace {
 
 using gcmpi::util::crc32c;
+using gcmpi::util::crc32c_portable;
 using gcmpi::util::crc32c_reference;
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  gcmpi::sim::Rng rng(seed);
+  std::vector<std::uint8_t> buf(n);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+  return buf;
+}
 
 TEST(Crc32c, EmptyInputIsZero) {
   EXPECT_EQ(crc32c(nullptr, 0), 0u);
+  EXPECT_EQ(crc32c_portable(nullptr, 0), 0u);
   EXPECT_EQ(crc32c_reference(nullptr, 0), 0u);
 }
 
@@ -50,19 +60,38 @@ TEST(Crc32c, Rfc3720KnownAnswers) {
 TEST(Crc32c, ClassicStringVectors) {
   const std::string digits = "123456789";
   EXPECT_EQ(crc32c(digits.data(), digits.size()), 0xE3069283u);
+  EXPECT_EQ(crc32c_portable(digits.data(), digits.size()), 0xE3069283u);
   const std::string a = "a";
   EXPECT_EQ(crc32c(a.data(), a.size()), 0xC1D04330u);
 }
 
+// `crc32c` dispatches to the SSE4.2 instruction where the CPU has it, so the
+// slice-by-8 tables run here only through crc32c_portable: both are checked
+// against the bit-at-a-time reference.
 TEST(Crc32c, SliceBy8MatchesBitwiseReference) {
   gcmpi::sim::Rng rng(0xC5C5);
   for (int round = 0; round < 50; ++round) {
     const std::size_t n = 1 + rng.next_below(4096);
-    std::vector<std::uint8_t> buf(n);
-    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
-    EXPECT_EQ(crc32c(buf.data(), buf.size()), crc32c_reference(buf.data(), buf.size()))
-        << "length " << n;
+    const auto buf = random_bytes(n, rng.next_u64());
+    const std::uint32_t want = crc32c_reference(buf.data(), buf.size());
+    EXPECT_EQ(crc32c_portable(buf.data(), buf.size()), want) << "length " << n;
+    EXPECT_EQ(crc32c(buf.data(), buf.size()), want) << "length " << n;
   }
+  // One large buffer, one-shot and chained over uneven pieces.
+  const auto big = random_bytes(std::size_t{1} << 20, 0xB16);
+  const std::uint32_t want = crc32c_reference(big.data(), big.size());
+  EXPECT_EQ(crc32c_portable(big.data(), big.size()), want);
+  EXPECT_EQ(crc32c(big.data(), big.size()), want);
+  std::uint32_t portable = 0;
+  std::uint32_t dispatched = 0;
+  for (std::size_t at = 0, piece = 1; at < big.size(); piece = piece * 3 + 1) {
+    const std::size_t len = std::min(piece % 9001, big.size() - at);
+    portable = crc32c_portable(big.data() + at, len, portable);
+    dispatched = crc32c(big.data() + at, len, dispatched);
+    at += len;
+  }
+  EXPECT_EQ(portable, want);
+  EXPECT_EQ(dispatched, want);
 }
 
 TEST(Crc32c, IncrementalChainingEqualsOneShot) {
@@ -86,16 +115,22 @@ TEST(Crc32c, IncrementalChainingEqualsOneShot) {
 }
 
 TEST(Crc32c, MisalignedStartMatchesAligned) {
-  // The slice-by-8 head loop must make unaligned buffers agree with
-  // aligned copies of the same bytes.
-  std::vector<std::uint8_t> storage(256 + 8);
-  gcmpi::sim::Rng rng(99);
-  for (auto& b : storage) b = static_cast<std::uint8_t>(rng.next_below(256));
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    std::vector<std::uint8_t> copy(storage.begin() + static_cast<std::ptrdiff_t>(offset),
-                                   storage.begin() + static_cast<std::ptrdiff_t>(offset) + 256);
-    EXPECT_EQ(crc32c(storage.data() + offset, 256), crc32c(copy.data(), 256))
-        << "offset " << offset;
+  // Every start offset within two words and every length up to eight words
+  // plus a tail: the slice-by-8 head loop and the hardware path's byte tail
+  // must agree with the reference on unaligned buffers.
+  const auto storage = random_bytes(16 + 68, 99);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len < 68; ++len) {
+      const std::uint8_t* p = storage.data() + offset;
+      const std::uint32_t want = crc32c_reference(p, len);
+      EXPECT_EQ(crc32c_portable(p, len), want) << "offset " << offset << " length " << len;
+      EXPECT_EQ(crc32c(p, len), want) << "offset " << offset << " length " << len;
+      // Chained: split every fifth byte, the tail seeded by the head's CRC.
+      for (std::size_t cut = 0; cut <= len; cut += 5) {
+        EXPECT_EQ(crc32c(p + cut, len - cut, crc32c(p, cut)), want);
+        EXPECT_EQ(crc32c_portable(p + cut, len - cut, crc32c_portable(p, cut)), want);
+      }
+    }
   }
 }
 
