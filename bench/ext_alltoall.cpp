@@ -225,7 +225,12 @@ int compare_baseline(const Options& opt, const std::vector<Row>& rows) {
   for (const Row& r : rows) {
     const auto it = std::find_if(base.begin(), base.end(),
                                  [&](const auto& b) { return b.first == r.name; });
-    if (it == base.end()) continue;
+    if (it == base.end()) {
+      // A renamed or new row has nothing to be gated against: that is a
+      // gate failure, not a pass.
+      std::printf("UNMATCHED  %s (no baseline row)\n", r.name.c_str());
+      continue;
+    }
     ++matched;
     if (r.mbps < it->second * (1.0 - opt.threshold)) {
       std::fprintf(stderr, "REGRESSION %s: %.1f MB/s vs baseline %.1f MB/s\n",
@@ -235,7 +240,7 @@ int compare_baseline(const Options& opt, const std::vector<Row>& rows) {
   }
   std::printf("baseline check: %zu entries matched, %d regressions (threshold %.0f%%)\n",
               matched, regressions, opt.threshold * 100.0);
-  return regressions;
+  return regressions + static_cast<int>(rows.size() - matched);
 }
 
 }  // namespace

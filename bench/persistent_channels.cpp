@@ -173,7 +173,12 @@ int compare_baseline(const Options& opt, const std::vector<Row>& rows) {
   for (const Row& r : rows) {
     const auto it = std::find_if(base.begin(), base.end(),
                                  [&](const auto& b) { return b.first == r.name; });
-    if (it == base.end()) continue;
+    if (it == base.end()) {
+      // A renamed or new row has nothing to be gated against: that is a
+      // gate failure, not a pass.
+      std::printf("UNMATCHED  %s (no baseline row)\n", r.name.c_str());
+      continue;
+    }
     ++matched;
     if (r.mbps < it->second * (1.0 - opt.threshold)) {
       ++regressions;
@@ -182,7 +187,7 @@ int compare_baseline(const Options& opt, const std::vector<Row>& rows) {
   }
   std::printf("baseline: %zu/%zu entries matched, %d regression(s) beyond %.1f%%\n", matched,
               rows.size(), regressions, opt.threshold * 100.0);
-  return regressions == 0 ? 0 : 1;
+  return regressions == 0 && matched == rows.size() ? 0 : 1;
 }
 
 }  // namespace
